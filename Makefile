@@ -86,12 +86,16 @@ bench-compare:
 	$(GO) run ./cmd/slicebench compare BENCH_baseline.json BENCH_summary.json \
 		-fail-above 15 -min-wall-ms 1000
 
-# Profile a spec's hot loop: capture CPU + heap profiles of one run
-# (defaults: the N=100k ordering run, 10 cycles, serial engine — the
+# Profile a scenario's hot loop: capture CPU + heap profiles of one run
+# (defaults: the N=100k scale family, 10 cycles, serial engine — the
 # same kernel mix the scale sweep gates) and print the top-20 flat CPU
 # report. Override with PROFILE_SPEC / PROFILE_CYCLES /
-# PROFILE_SIMWORKERS, e.g.
+# PROFILE_SIMWORKERS; PROFILE_SPEC takes a scenario or one spec of it
+# as scenario/spec, e.g.
 #   make profile PROFILE_SPEC=scale-1m PROFILE_CYCLES=5
+# or, for the ranking protocol phase under churn on the parallel
+# engine (the benchmark's sim-ranking-churn-100k shape):
+#   make profile PROFILE_SPEC=scale-100k/ranking-churn PROFILE_CYCLES=20 PROFILE_SIMWORKERS=2
 # cpu.prof / mem.prof land in the working tree (gitignored) so CI can
 # upload them as on-demand artifacts; drill past the flat report with
 # `go tool pprof cpu.prof`.

@@ -12,6 +12,7 @@
 //	slicebench run fig4-policies -format csv -every 5
 //	slicebench run live-convergence -backend live -scale 0.1
 //	slicebench run scale-100k -simworkers 8 -cpuprofile cpu.prof -memprofile mem.prof
+//	slicebench run scale-100k/ranking-churn -simworkers 2 -cpuprofile cpu.prof
 //	slicebench sweep -scenarios all -scale 0.02 -replicas 2 -workers 8
 //	slicebench sweep -scenarios scale-10k,scale-50k,scale-100k -out BENCH_scale.json
 //	slicebench sweep -backend live -scale 0.1 -workers 2 -out BENCH_live.json
@@ -21,8 +22,8 @@
 //	slicebench compare BENCH_scale_old.json BENCH_scale.json -fail-above 20
 //	slicebench summarize BENCH_sweep.json BENCH_scale.json -out BENCH_summary.json
 //
-// run executes one scenario family and prints its SDM curves side by
-// side (table, csv or json). sweep expands a scenario grid — families ×
+// run executes one scenario family — or, named scenario/spec, one spec
+// of it — and prints its SDM curves side by side (table, csv or json). sweep expands a scenario grid — families ×
 // seed replicas — across a worker pool and emits one summary record per
 // run, including wall time and cycles/sec, so a sweep doubles as a
 // benchmark. Sweep output is deterministic: with -timing=false the same
@@ -71,6 +72,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 
@@ -89,7 +91,7 @@ func main() {
 func usage(out io.Writer) {
 	fmt.Fprintln(out, `usage:
   slicebench list                      list registered scenarios
-  slicebench run <scenario> [flags]    run one scenario family
+  slicebench run <scenario>[/<spec>]   run one scenario family (or one spec of it)
   slicebench sweep [flags]             run a scenario × seed grid
   slicebench serve-bench [flags]       serve a warmed-up cluster, measure query latency
   slicebench trace <scenario>|[-url]   capture a protocol trace as JSON
@@ -248,6 +250,9 @@ func runOne(args []string, out, errOut io.Writer) error {
 	default:
 		return fmt.Errorf("run needs exactly one scenario name (see 'slicebench list')")
 	}
+	// "scenario/spec" runs one spec of the family, e.g.
+	// scale-100k/ranking-churn.
+	name, specName, _ := strings.Cut(name, "/")
 	sc, err := scenario.Lookup(name)
 	if err != nil {
 		return err
@@ -281,6 +286,15 @@ func runOne(args []string, out, errOut io.Writer) error {
 	runs, err := g.Expand()
 	if err != nil {
 		return err
+	}
+	if specName != "" {
+		runs = slices.DeleteFunc(runs, func(r scenario.Run) bool { return r.Spec.Name != specName })
+		if len(runs) == 0 {
+			return fmt.Errorf("scenario %q has no spec %q", name, specName)
+		}
+		for i := range runs {
+			runs[i].Index = i // Sweep files results by index
+		}
 	}
 	for i := range runs {
 		if *every > 0 {

@@ -91,6 +91,25 @@ func TestRunUnknownScenario(t *testing.T) {
 	}
 }
 
+// TestRunOneSpec selects one spec of a family by scenario/spec name.
+func TestRunOneSpec(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"run", "fig4-policies/mod-jk", "-scale", "0.01", "-format", "json"}, &out, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []scenario.RunResult
+	if err := json.Unmarshal(out.Bytes(), &results); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Spec.Name != "mod-jk" {
+		t.Fatalf("fig4-policies/mod-jk ran %d specs, want just mod-jk: %+v", len(results), results)
+	}
+	if err := run([]string{"run", "fig4-policies/nope"}, io.Discard, io.Discard); err == nil {
+		t.Fatal("unknown spec accepted")
+	}
+}
+
 func TestUnknownSubcommand(t *testing.T) {
 	if err := run([]string{"frobnicate"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown subcommand accepted")

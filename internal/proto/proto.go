@@ -86,6 +86,15 @@ func ViewBacked(self core.ID, selfR func() float64, v *view.View) StateReader {
 	return viewReader{self: self, selfR: selfR, v: v}
 }
 
+// IsViewBacked reports whether state is the reader ViewBacked returns
+// for node self over view v. Protocol ticks use it to read their
+// neighbors' coordinates straight off the view entries they are
+// already scanning.
+func IsViewBacked(state StateReader, self core.ID, v *view.View) bool {
+	r, ok := state.(viewReader)
+	return ok && r.self == self && r.v == v
+}
+
 type viewReader struct {
 	self  core.ID
 	selfR func() float64

@@ -15,6 +15,7 @@ package ranking
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/proto"
@@ -40,9 +41,10 @@ type Node struct {
 	boundaryBias bool
 
 	// Reusable per-tick buffers (a node is single-threaded; neither
-	// slice is retained by callers beyond the consuming call). The cycle
-	// simulator bypasses these: it calls TickTargets with a per-worker
-	// Scratch so value-stored nodes don't each grow private buffers.
+	// slice is retained by callers beyond the consuming call). scratch
+	// serves TickTargets for readers other than the node's own view;
+	// the cycle engine passes a per-worker Scratch instead, so
+	// value-stored nodes don't each grow private buffers.
 	scratch Scratch
 	envBuf  []proto.Envelope
 	// updMsg is the node's UPD message, boxed once: the attribute value
@@ -156,8 +158,20 @@ func (n *Node) lower(m core.Member) bool {
 // 4-16). The view has been recomputed by the membership layer. The
 // returned envelopes carry UPD messages for the boundary-closest
 // neighbor j1 and a random neighbor j2.
+//
+// A reader backed by the node's own view (the live runtime's) runs the
+// fused TickTargetsTable with no table; any other reader runs
+// TickTargets. So does a view holding its owner, whose ID that reader
+// resolves to the estimate after the scan — Merge and the runtime's
+// bootstrap never insert it, so the guard costs one ID scan.
 func (n *Node) Tick(state proto.StateReader, rng core.RNG) []proto.Envelope {
-	j1, j2, ok := n.TickTargets(state, rng, &n.scratch)
+	var j1, j2 core.ID
+	var ok bool
+	if proto.IsViewBacked(state, n.id, n.v) && !n.v.Has(n.id) {
+		j1, j2, ok = n.TickTargetsTable(nil, rng)
+	} else {
+		j1, j2, ok = n.TickTargets(state, rng, &n.scratch)
+	}
 	if !ok {
 		return nil
 	}
@@ -214,56 +228,77 @@ func (n *Node) TickTargets(state proto.StateReader, rng core.RNG, scr *Scratch) 
 	return j1.ID, j2.ID, true
 }
 
-// TickTargetsFast is TickTargets specialized for the cycle engine: the
-// engine resolves neighbor estimates through the phase-start snapshot
-// as a concrete CoordTable — one load and one NaN test per neighbor
-// instead of an interface dispatch plus an ID→slot→estimate double
-// indirection, the hottest random access of a million-node ranking
-// tick. Decision and side-effect equivalence with TickTargets over the
-// engine's snapshot reader is exact: the table carries the same
-// answers as the reader (unknown/departed IDs fall back to the view's
-// recorded estimate), the RNG draws happen in the same order, and the
-// estimator feeding is identical (pinned by TestKernelEquivalence).
-func (n *Node) TickTargetsFast(coords proto.CoordTable, rng core.RNG, scr *Scratch) (core.ID, core.ID, bool) {
-	entries := scr.entries[:0]
-	for _, e := range n.v.Raw() {
-		if !e.Placeholder() {
-			entries = append(entries, e)
+// TickTargetsTable is the ranking tick both engines run (Fig. 5 lines
+// 4-12), fused into one pass over the view's backing slice: each
+// non-placeholder entry feeds the estimator and competes for j1 as it
+// is read, with no snapshot copy. A neighbor's estimate resolves
+// through coords — the cycle engine's phase-start snapshot — falling
+// back to the R its view entry records for an ID the table does not
+// know. A nil table therefore uses the recorded estimates throughout:
+// all a live node can observe, and exactly what proto.ViewBacked
+// answers for a view that does not hold its owner.
+//
+// Estimator feeding (in view order), stats, the two targets and the RNG
+// draws (j1's only when boundary bias is off, then j2's) are those of
+// TickTargets over the equivalent reader; j1 is the earliest neighbor
+// at the minimal boundary distance.
+func (n *Node) TickTargetsTable(coords proto.CoordTable, rng core.RNG) (core.ID, core.ID, bool) {
+	raw := n.v.Raw()
+	m := 0 // non-placeholder entries seen
+	var j1 core.ID
+	best := math.Inf(1)
+	for i := range raw {
+		e := &raw[i]
+		if e.Placeholder() {
+			continue
 		}
-	}
-	scr.entries = entries
-	if n.scanView {
-		for _, e := range entries {
+		if m == 0 {
+			j1 = e.ID
+		}
+		m++
+		if n.scanView {
 			n.est.Observe(n.lower(e.Member()))
-			n.stats.ViewObservations++
 		}
-	}
-	if len(entries) == 0 {
-		return 0, 0, false
-	}
-	j1 := entries[0]
-	if n.boundaryBias {
-		best := n.boundaryDistanceTab(coords, entries[0])
-		for _, e := range entries[1:] {
-			if d := n.boundaryDistanceTab(coords, e); d < best {
-				best, j1 = d, e
+		if n.boundaryBias {
+			r := e.R
+			if live, ok := coords.Coord(e.ID); ok {
+				r = live
+			}
+			if d := n.part.BoundaryDistance(r); d < best {
+				best, j1 = d, e.ID
 			}
 		}
-	} else {
-		j1 = entries[rng.Intn(len(entries))]
 	}
-	n.stats.UpdatesSent++
-	j2 := entries[rng.Intn(len(entries))]
-	n.stats.UpdatesSent++
-	return j1.ID, j2.ID, true
+	if n.scanView {
+		n.stats.ViewObservations += uint64(m)
+	}
+	if m == 0 {
+		return 0, 0, false
+	}
+	if !n.boundaryBias {
+		j1 = nthEntry(raw, m, rng.Intn(m))
+	}
+	j2 := nthEntry(raw, m, rng.Intn(m))
+	n.stats.UpdatesSent += 2
+	return j1, j2, true
 }
 
-func (n *Node) boundaryDistanceTab(coords proto.CoordTable, e view.Entry) float64 {
-	r := e.R
-	if live, ok := coords.Coord(e.ID); ok {
-		r = live
+// nthEntry returns the ID of the k-th non-placeholder entry of raw,
+// which holds m of them.
+func nthEntry(raw []view.Entry, m, k int) core.ID {
+	if m == len(raw) {
+		return raw[k].ID
 	}
-	return n.part.BoundaryDistance(r)
+	for i := range raw {
+		if raw[i].Placeholder() {
+			continue
+		}
+		if k == 0 {
+			return raw[i].ID
+		}
+		k--
+	}
+	panic("ranking: nthEntry beyond the view's real entries")
 }
 
 func (n *Node) boundaryDistance(state proto.StateReader, e view.Entry) float64 {

@@ -769,7 +769,7 @@ func (e *Engine) tickRanking(n int) {
 			var j1, j2 core.ID
 			var ok bool
 			if fast {
-				j1, j2, ok = e.rns[s].TickTargetsFast(coords, &ws.stream, &ws.rscr)
+				j1, j2, ok = e.rns[s].TickTargetsTable(coords, &ws.stream)
 			} else {
 				j1, j2, ok = e.rns[s].TickTargets(reader, &ws.stream, &ws.rscr)
 			}
